@@ -154,9 +154,7 @@ func (l *Lab) LongitudinalCampaign(rounds, vps int) LongitudinalCampaignResult {
 			// churn slice, so the census re-probes only the /24s that
 			// plausibly changed since the last round.
 			black = prober.NewGreylist()
-			if l.Black != nil {
-				black.Merge(l.Black)
-			}
+			black.Merge(l.Black)
 			for _, t := range targets {
 				if detrand.Hash64(l.Config.Seed, uint64(60+r), uint64(t), 0xC4)%1000 >= LongitudinalChurnPerMil {
 					black.Add(t, netsim.ReplyTimeout)

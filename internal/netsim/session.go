@@ -202,6 +202,7 @@ const (
 	// round: unallocated prefixes, dead anycast host addresses, unicast
 	// non-representatives and silent hosts. probeICMP returns before any
 	// per-round draw for all of them, so no draw is skipped unsafely.
+	// Targets the span's skip mask excludes also stay spanTimeout.
 	spanTimeout uint8 = iota
 	// spanAnycast targets answer from a deployment; payload holds the
 	// deployments index.
@@ -241,14 +242,17 @@ type SpanSession struct {
 
 // ProbeSpanSession resolves a probing session covering exactly the given
 // target span (callers working in [lo, hi) units pass targets[lo:hi]).
-// Resolution is O(span): census spans are ascending in address order, so
-// the resolver walks the sorted unicast prefix index with a cursor and
-// falls back to one binary search per order break and one map lookup per
-// non-unicast target (~0.03% of a census span). Replies through the span
-// are bit-identical to ProbeICMP's — the determinism tests compare the
-// two — because every cached value is the output of the exact expression
-// the reference path evaluates.
-func (w *World) ProbeSpanSession(vp platform.VP, targets []IP) SpanSession {
+// skip, when non-nil, is a bitmap over the span (bit i is
+// skip[i>>6]&(1<<(i&63))) of targets the caller will not probe: they are
+// left unresolved and answer as structural timeouts, so resolution is
+// O(unskipped targets) in RTT work. Census spans are ascending in address
+// order, so the resolver walks the sorted unicast prefix index with a
+// cursor and falls back to one binary search per order break and one map
+// lookup per non-unicast target (~0.03% of a census span). Replies through
+// the span for unskipped targets are bit-identical to ProbeICMP's — the
+// determinism tests compare the two — because every cached value is the
+// output of the exact expression the reference path evaluates.
+func (w *World) ProbeSpanSession(vp platform.VP, targets []IP, skip []uint64) SpanSession {
 	s := w.session(vp)
 	ss := SpanSession{w: w, vp: vp, s: s, targets: targets}
 	if s == nil {
@@ -262,6 +266,9 @@ func (w *World) ProbeSpanSession(vp platform.VP, targets []IP) SpanSession {
 	cursor := -1
 	prev := Prefix24(0)
 	for i, target := range targets {
+		if skip != nil && skip[i>>6]&(1<<(i&63)) != 0 {
+			continue // cls stays spanTimeout
+		}
 		p := target.Prefix()
 		// Reposition on the first target and on any order break (a span
 		// of census targets breaks order never; ad-hoc spans may).

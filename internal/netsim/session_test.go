@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"anycastmap/internal/cities"
+	"anycastmap/internal/detrand"
 	"anycastmap/internal/geo"
 	"anycastmap/internal/platform"
 )
@@ -174,7 +175,7 @@ func TestSpanSessionBitIdentical(t *testing.T) {
 				if hi > len(targets) {
 					hi = len(targets)
 				}
-				span := cached.ProbeSpanSession(vp, targets[lo:hi])
+				span := cached.ProbeSpanSession(vp, targets[lo:hi], nil)
 				for i := lo; i < hi; i++ {
 					for round := uint64(1); round <= 2; round++ {
 						got, want := span.ICMP(i-lo, round), uncached.ProbeICMP(vp, targets[i], round)
@@ -196,7 +197,7 @@ func TestSpanSessionBitIdentical(t *testing.T) {
 		rev = append(rev, targets[i])
 	}
 	rev = append(rev, IP(0xDF000001), targets[0], IP(0x01000001))
-	span := cached.ProbeSpanSession(vps[0], rev)
+	span := cached.ProbeSpanSession(vps[0], rev, nil)
 	for i, target := range rev {
 		got, want := span.ICMP(i, 1), uncached.ProbeICMP(vps[0], target, 1)
 		if got != want {
@@ -206,11 +207,58 @@ func TestSpanSessionBitIdentical(t *testing.T) {
 
 	// With the probe cache disabled the span session must degrade to the
 	// reference path, not to stale slabs.
-	slow := uncached.ProbeSpanSession(vps[1], targets[:64])
+	slow := uncached.ProbeSpanSession(vps[1], targets[:64], nil)
 	for i := range targets[:64] {
 		got, want := slow.ICMP(i, 3), uncached.ProbeICMP(vps[1], targets[i], 3)
 		if got != want {
 			t.Fatalf("nocache span i=%d: span %+v, reference %+v", i, got, want)
+		}
+	}
+}
+
+// TestSpanSessionMaskMatchesUnmasked pins the skip mask's contract: a
+// session resolved with ~95% of its span masked answers every unmasked
+// index exactly as the nil-mask session does, on an ascending span and on
+// one that breaks order at every step, and masked indices answer as
+// timeouts.
+func TestSpanSessionMaskMatchesUnmasked(t *testing.T) {
+	cached, _ := sessionTestWorlds(t)
+	vps := sessionTestVPs()
+
+	var targets []IP
+	cached.Prefixes(func(p Prefix24) {
+		if ip, _ := cached.Representative(p); ip != 0 {
+			targets = append(targets, ip)
+		}
+	})
+	rev := make([]IP, 0, len(targets)+3)
+	for i := len(targets) - 1; i >= 0; i-- {
+		rev = append(rev, targets[i])
+	}
+	rev = append(rev, IP(0xDF000001), targets[0], IP(0x01000001))
+
+	for name, span := range map[string][]IP{"ascending": targets, "order-break": rev} {
+		mask := make([]uint64, (len(span)+63)/64)
+		for i := range span {
+			if detrand.Hash64(uint64(i), 0xC4)%20 != 0 {
+				mask[i>>6] |= 1 << (i & 63)
+			}
+		}
+		for _, vp := range vps {
+			masked := cached.ProbeSpanSession(vp, span, mask)
+			full := cached.ProbeSpanSession(vp, span, nil)
+			for i := range span {
+				for round := uint64(1); round <= 2; round++ {
+					got := masked.ICMP(i, round)
+					want := full.ICMP(i, round)
+					if mask[i>>6]&(1<<(i&63)) != 0 {
+						want = Reply{Kind: ReplyTimeout}
+					}
+					if got != want {
+						t.Fatalf("%s span vp=%s i=%d round=%d: masked %+v, want %+v", name, vp.Name, i, round, got, want)
+					}
+				}
+			}
 		}
 	}
 }
@@ -243,7 +291,7 @@ func TestSpanSessionHijackBypass(t *testing.T) {
 		}
 	}
 	for _, vp := range vps {
-		span := cached.ProbeSpanSession(vp, []IP{target})
+		span := cached.ProbeSpanSession(vp, []IP{target}, nil)
 		for round := uint64(1); round <= 3; round++ {
 			got, want := span.ICMP(0, round), uncached.ProbeICMP(vp, target, round)
 			if got != want {
@@ -255,7 +303,7 @@ func TestSpanSessionHijackBypass(t *testing.T) {
 	cached.ClearHijack(prefix)
 	uncached.ClearHijack(prefix)
 	for _, vp := range vps {
-		span := cached.ProbeSpanSession(vp, []IP{target})
+		span := cached.ProbeSpanSession(vp, []IP{target}, nil)
 		got, want := span.ICMP(0, 2), uncached.ProbeICMP(vp, target, 2)
 		if got != want {
 			t.Fatalf("post-clear span vp=%s: span %+v, uncached %+v", vp.Name, got, want)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"anycastmap/internal/cities"
+	"anycastmap/internal/detrand"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
 	"anycastmap/internal/record"
@@ -60,31 +61,32 @@ func BenchmarkProberRun(b *testing.B) {
 	b.ReportMetric(float64(len(pbTargets)), "probes/op")
 }
 
-// BenchmarkGreylistContains measures the per-probe membership check on the
-// mutable (RWMutex-guarded) greylist.
-func BenchmarkGreylistContains(b *testing.B) {
+// BenchmarkProberRunChurn measures a patch-round run: RunIndexed over a
+// span whose targets are ~95% greylisted, the shape of a census round
+// that re-probes only the churned slice. ns/slot is the cost per
+// permutation slot, skipped or sent, including the per-run greylist
+// resolution and span-session set-up.
+func BenchmarkProberRunChurn(b *testing.B) {
 	pbSetup(b)
-	b.ReportAllocs()
-	hit := 0
-	for i := 0; i < b.N; i++ {
-		if pbSkip.Contains(pbTargets[i%len(pbTargets)]) {
-			hit++
+	churn := NewGreylist()
+	churn.Merge(pbSkip)
+	for _, ip := range pbTargets {
+		if detrand.Hash64(1, uint64(ip), 0xC4)%1000 >= 50 {
+			churn.Add(ip, netsim.ReplyTimeout)
 		}
 	}
-	_ = hit
-}
-
-// BenchmarkGreylistFrozenContains measures the same membership check on the
-// frozen lock-free view the probing loop actually uses.
-func BenchmarkGreylistFrozenContains(b *testing.B) {
-	pbSetup(b)
-	frozen := pbSkip.Freeze()
+	churn.Freeze()
 	b.ReportAllocs()
-	hit := 0
+	b.ResetTimer()
+	sink := func(int, record.Sample) {}
 	for i := 0; i < b.N; i++ {
-		if frozen.Contains(pbTargets[i%len(pbTargets)]) {
-			hit++
+		stats, _, err := RunIndexed(pbWorld, pbVP, pbTargets, churn, Config{Seed: 7, Round: uint64(i%4 + 1)}, sink)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if stats.Sent == 0 || stats.Skipped == 0 {
+			b.Fatal("churn run sent or skipped nothing")
 		}
 	}
-	_ = hit
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pbTargets)), "ns/slot")
 }

@@ -9,6 +9,11 @@ import (
 	"anycastmap/internal/record"
 )
 
+// frozenHas reports membership through the frozen view's SkipMask.
+func frozenHas(f *FrozenGreylist, ip netsim.IP) bool {
+	return f.SkipMask([]netsim.IP{ip}) != nil
+}
+
 func TestFrozenGreylistMatchesMutable(t *testing.T) {
 	g := NewGreylist()
 	for i := 0; i < 5000; i += 3 {
@@ -20,7 +25,7 @@ func TestFrozenGreylistMatchesMutable(t *testing.T) {
 	}
 	for i := 0; i < 5000; i++ {
 		ip := netsim.IP(1<<24 + i*977)
-		if f.Contains(ip) != g.Contains(ip) {
+		if frozenHas(f, ip) != g.Contains(ip) {
 			t.Fatalf("frozen/mutable disagree on %v", ip)
 		}
 	}
@@ -32,55 +37,78 @@ func TestFrozenGreylistMatchesMutable(t *testing.T) {
 	if f2 == f {
 		t.Fatal("Add did not invalidate the frozen view")
 	}
-	if !f2.Contains(netsim.IP(42)) || f.Contains(netsim.IP(42)) {
+	if !frozenHas(f2, netsim.IP(42)) || frozenHas(f, netsim.IP(42)) {
 		t.Fatal("new view must see the addition, old view must not")
 	}
 
 	other := NewGreylist()
 	other.Add(netsim.IP(99), netsim.ReplyHostProhibited)
 	g.Merge(other)
-	if !g.Freeze().Contains(netsim.IP(99)) {
+	if !frozenHas(g.Freeze(), netsim.IP(99)) {
 		t.Fatal("Merge did not invalidate the frozen view")
 	}
 
 	var nilG *Greylist
-	if nilG.Freeze().Contains(netsim.IP(1)) {
+	if frozenHas(nilG.Freeze(), netsim.IP(1)) {
 		t.Fatal("nil greylist must freeze to an empty view")
 	}
 }
 
-// TestFrozenGreylistWindow pins the span windowing the probing hot path
-// relies on: membership through any [lo, hi] window matches the full
-// view for addresses inside the window, and everything outside reads
-// absent.
-func TestFrozenGreylistWindow(t *testing.T) {
+// TestFrozenGreylistSkipMask pins the span resolution the probing hot
+// path relies on: bit i of the mask is set exactly when the mutable
+// greylist holds targets[i], for ascending spans anywhere in the address
+// range, spans that break order (reversed, duplicates, jumps back) and
+// spans that miss the greylist entirely, which yield a nil mask.
+func TestFrozenGreylistSkipMask(t *testing.T) {
 	g := NewGreylist()
 	for i := 0; i < 4000; i += 2 {
 		g.Add(netsim.IP(1<<20+i*131), netsim.ReplyAdminFiltered)
 	}
 	f := g.Freeze()
-	for _, w := range [][2]netsim.IP{
-		{0, ^netsim.IP(0)},                    // everything
-		{1 << 20, 1<<20 + 1000},               // head slice
-		{1<<20 + 99999, 1<<20 + 200000},       // middle
-		{1<<20 + 523999, 1<<20 + 524000},      // tail edge
-		{5, 9},                                // empty, below
-		{1 << 30, 1<<30 + 5},                  // empty, above
-		{1<<20 + 131, 1<<20 + 131},            // single address
-	} {
-		win := f.Window(w[0], w[1])
-		for i := 0; i < 4000; i++ {
-			ip := netsim.IP(1<<20 + i*131)
-			want := f.Contains(ip) && ip >= w[0] && ip <= w[1]
-			if win.Contains(ip) != want {
-				t.Fatalf("window [%v,%v] disagrees on %v: got %v, want %v", w[0], w[1], ip, win.Contains(ip), want)
+	var all []netsim.IP
+	for i := 0; i < 4000; i++ {
+		all = append(all, netsim.IP(1<<20+i*131))
+	}
+	rev := make([]netsim.IP, len(all))
+	for i, ip := range all {
+		rev[len(all)-1-i] = ip
+	}
+	spans := map[string][]netsim.IP{
+		"everything": all,
+		"head":       all[:9],
+		"middle":     all[1501:2700],
+		"tail edge":  all[3998:],
+		"single":     all[2:3],
+		"reversed":   rev,
+		"duplicates": {all[4], all[4], all[5], all[5], all[4]},
+		"jump back":  append(append([]netsim.IP{}, all[3000:3100]...), all[10:200]...),
+		"outside":    {netsim.IP(5), netsim.IP(9), netsim.IP(1 << 30)},
+		"between":    {all[0] + 1, all[2] + 1, all[3000] + 7},
+		"empty":      nil,
+	}
+	for name, span := range spans {
+		mask := f.SkipMask(span)
+		hits := 0
+		for i, ip := range span {
+			want := g.Contains(ip)
+			if want {
+				hits++
 			}
+			got := mask != nil && mask[i>>6]&(1<<(i&63)) != 0
+			if got != want {
+				t.Fatalf("%s span: bit %d (%v) = %v, greylist says %v", name, i, ip, got, want)
+			}
+		}
+		if (mask == nil) != (hits == 0) {
+			t.Fatalf("%s span: mask nil = %v with %d greylisted targets", name, mask == nil, hits)
+		}
+		if mask != nil && len(mask) != (len(span)+63)/64 {
+			t.Fatalf("%s span: mask has %d words for %d targets", name, len(mask), len(span))
 		}
 	}
 	var nilF *FrozenGreylist
-	empty := nilF.Window(0, 10)
-	if empty.Contains(netsim.IP(5)) {
-		t.Fatal("nil view must window to empty")
+	if nilF.SkipMask(all) != nil || NewGreylist().Freeze().SkipMask(all) != nil {
+		t.Fatal("nil and empty views must mask nothing")
 	}
 }
 
@@ -119,8 +147,8 @@ func TestRunZeroAllocsPerProbe(t *testing.T) {
 	}
 
 	small, large := runAllocs(0, len(targets)/4), runAllocs(0, len(targets))
-	// A mid-list span exercises the span-session resolver's windowed
-	// path (cursor repositioning, greylist window) under the same budget.
+	// A mid-list span exercises the span-session resolver's cursor
+	// repositioning and the greylist merge walk under the same budget.
 	mid := runAllocs(len(targets)/3, 2*len(targets)/3)
 	// The per-run constant covers the stats, permutation, span-slab and
 	// greylist objects; what it must NOT do is scale with the probe count.

@@ -10,6 +10,7 @@ package prober
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,6 +37,7 @@ type Metrics struct {
 	Timeouts      atomic.Uint64
 	SourceDropped atomic.Uint64
 	FaultLost     atomic.Uint64
+	Skipped       atomic.Uint64
 	// SpansInFlight counts probing runs — (VP, span) work units —
 	// currently executing; spanSeconds records each unit's wall-clock
 	// duration. Both are observed at run granularity, never per probe,
@@ -56,6 +58,7 @@ func (m *Metrics) observe(st *Stats) {
 	m.Timeouts.Add(uint64(st.Timeouts))
 	m.SourceDropped.Add(uint64(st.SourceDropped))
 	m.FaultLost.Add(uint64(st.FaultLost))
+	m.Skipped.Add(uint64(st.Skipped))
 }
 
 // Register exposes the probe counters as anycastmap_probe_* series.
@@ -68,6 +71,7 @@ func (m *Metrics) Register(r *obs.Registry) {
 	r.CounterFunc("anycastmap_probe_timeouts_total", "Probes that timed out (includes fault-lost and source-dropped).", m.Timeouts.Load)
 	r.CounterFunc("anycastmap_probe_source_dropped_total", "Replies dropped at the vantage point from excessive probing rates.", m.SourceDropped.Load)
 	r.CounterFunc("anycastmap_probe_fault_lost_total", "Probes lost to injected flap/burst faults.", m.FaultLost.Load)
+	r.CounterFunc("anycastmap_probe_skipped_total", "Probe slots skipped because the target is greylisted.", m.Skipped.Load)
 	r.GaugeFunc("anycastmap_probe_spans_in_flight", "Probing runs ((VP, span) work units) currently executing.",
 		func() float64 { return float64(m.SpansInFlight.Load()) })
 	m.spanSeconds.Store(r.Histogram("anycastmap_probe_span_seconds",
@@ -111,8 +115,8 @@ func (g *Greylist) Add(ip netsim.IP, kind netsim.ReplyKind) {
 }
 
 // FrozenGreylist is an immutable, lock-free membership view of a greylist
-// at a point in time: a sorted address slice checked by binary search. A
-// census run snapshots the blacklist once and then does per-probe lookups
+// at a point in time: a sorted address slice. A census run snapshots the
+// blacklist once and resolves it against each probe span with SkipMask
 // without touching the RWMutex - the mutable greylist keeps taking writes
 // (for the NEXT census) in the meantime.
 type FrozenGreylist struct {
@@ -143,24 +147,6 @@ func (g *Greylist) Freeze() *FrozenGreylist {
 	return f
 }
 
-// Contains reports membership without locking or allocating. It is safe on
-// a nil view (reports false).
-func (f *FrozenGreylist) Contains(ip netsim.IP) bool {
-	if f == nil {
-		return false
-	}
-	lo, hi := 0, len(f.ips)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if f.ips[mid] < ip {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(f.ips) && f.ips[lo] == ip
-}
-
 // Len returns the number of addresses in the view.
 func (f *FrozenGreylist) Len() int {
 	if f == nil {
@@ -169,33 +155,36 @@ func (f *FrozenGreylist) Len() int {
 	return len(f.ips)
 }
 
-// Window returns the sub-view covering addresses in [lo, hi]. A probing
-// run over a narrow target span binary-searches the window's handful of
-// entries instead of the full blacklist (millions of entries at paper
-// scale) on every probe. Safe on a nil view, which windows to empty.
-func (f *FrozenGreylist) Window(lo, hi netsim.IP) FrozenGreylist {
-	if f == nil {
-		return FrozenGreylist{}
+// SkipMask resolves the view against a target span into a bitmap: bit i
+// (mask[i>>6] & (1 << (i&63))) is set when targets[i] is in the view. It
+// is one merge walk of the sorted view against the span, which census
+// spans keep ascending; an order break repositions the cursor with one
+// binary search. A span with no member in the view yields a nil mask, as
+// does a nil or empty view.
+func (f *FrozenGreylist) SkipMask(targets []netsim.IP) []uint64 {
+	if f == nil || len(f.ips) == 0 {
+		return nil
 	}
-	a, b := 0, len(f.ips)
-	for a < b {
-		mid := int(uint(a+b) >> 1)
-		if f.ips[mid] < lo {
-			a = mid + 1
+	var mask []uint64
+	j := -1
+	var prev netsim.IP
+	for i, t := range targets {
+		if j < 0 || t < prev {
+			j, _ = slices.BinarySearch(f.ips, t)
 		} else {
-			b = mid
+			for j < len(f.ips) && f.ips[j] < t {
+				j++
+			}
+		}
+		prev = t
+		if j < len(f.ips) && f.ips[j] == t {
+			if mask == nil {
+				mask = make([]uint64, (len(targets)+63)/64)
+			}
+			mask[i>>6] |= 1 << (i & 63)
 		}
 	}
-	c, d := a, len(f.ips)
-	for c < d {
-		mid := int(uint(c+d) >> 1)
-		if f.ips[mid] <= hi {
-			c = mid + 1
-		} else {
-			d = mid
-		}
-	}
-	return FrozenGreylist{ips: f.ips[a:c]}
+	return mask
 }
 
 // Contains reports whether the host is greylisted.
@@ -213,8 +202,11 @@ func (g *Greylist) Len() int {
 	return len(g.m)
 }
 
-// Merge folds other into g.
+// Merge folds other into g. Merging nil or g itself is a no-op.
 func (g *Greylist) Merge(other *Greylist) {
+	if other == nil || other == g {
+		return
+	}
 	other.mu.RLock()
 	defer other.mu.RUnlock()
 	g.mu.Lock()
@@ -292,6 +284,9 @@ type Stats struct {
 	// FaultLost counts probes lost to injected flap/burst faults; they
 	// are included in Timeouts.
 	FaultLost int
+	// Skipped counts permutation slots passed over because the target
+	// is greylisted; Sent / (Sent + Skipped) is the run's probe yield.
+	Skipped int
 	// Completion is the simulated wall-clock duration of the run,
 	// including the host's load factor (Fig. 8). Only probes actually
 	// sent take wall-clock time: greylist-skipped targets cost nothing.
@@ -299,8 +294,8 @@ type Stats struct {
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("%s: sent=%d echo=%d err=%d timeout=%d dropped=%d faultlost=%d in %v",
-		s.VP.Name, s.Sent, s.Echo, s.Errors, s.Timeouts, s.SourceDropped, s.FaultLost, s.Completion.Round(time.Second))
+	return fmt.Sprintf("%s: sent=%d skipped=%d echo=%d err=%d timeout=%d dropped=%d faultlost=%d in %v",
+		s.VP.Name, s.Sent, s.Skipped, s.Echo, s.Errors, s.Timeouts, s.SourceDropped, s.FaultLost, s.Completion.Round(time.Second))
 }
 
 // Run probes every target from the vantage point, skipping greylisted
@@ -328,6 +323,13 @@ func Run(w *netsim.World, vp platform.VP, targets []netsim.IP, skip *Greylist, c
 // handing it to the sink spares the caller a target→index lookup per
 // reply — at census scale that lookup (or the map backing it) dominates a
 // narrow span's probing cost.
+//
+// Set-up per call is one merge walk of the frozen greylist against the
+// span (FrozenGreylist.SkipMask) plus a span session resolved for the
+// unskipped targets only, so a patch round that greylists most of its
+// span pays set-up for the targets it probes. Skipped slots still draw
+// from the permutation and keep their probe index, so the crash index,
+// fault draws and timestamps are those of a run that checked each slot.
 func RunIndexed(w *netsim.World, vp platform.VP, targets []netsim.IP, skip *Greylist, cfg Config, sink func(int, record.Sample)) (Stats, *Greylist, error) {
 	stats := Stats{VP: vp}
 	// One observation per run, on every return path; the per-probe loop
@@ -361,25 +363,17 @@ func RunIndexed(w *netsim.World, vp platform.VP, targets []netsim.IP, skip *Grey
 	crashAt, crashes := faults.CrashIndex(vp.ID, cfg.Round, cfg.Attempt, n)
 
 	// The inner loop is mutex-, map- and allocation-free per probe: the
-	// greylist is frozen and windowed down to the span's address range up
-	// front, the (VP, span) slab session is resolved once, and greylist
-	// discoveries go into the goroutine-local `found` map directly. Per
-	// probe the loop touches only the span slabs and the per-round draws,
-	// so the probe rate stays flat from 20k-target runs to full-Internet
+	// greylist is resolved against the span into a skip bitmap up front
+	// (one merge walk), the (VP, span) slab session is resolved once for
+	// the unskipped targets only, and greylist discoveries go into the
+	// goroutine-local `found` map directly. Per probe the loop touches
+	// only one mask bit, the span slabs and the per-round draws, so the
+	// probe rate stays flat from 20k-target runs to full-Internet
 	// censuses.
-	spanLo, spanHi := targets[0], targets[0]
-	for _, target := range targets[1:] {
-		if target < spanLo {
-			spanLo = target
-		}
-		if target > spanHi {
-			spanHi = target
-		}
-	}
-	win := skip.Freeze().Window(spanLo, spanHi)
+	mask := skip.Freeze().SkipMask(targets)
 	var span netsim.SpanSession
 	if !cfg.Wire {
-		span = w.ProbeSpanSession(vp, targets)
+		span = w.ProbeSpanSession(vp, targets, mask)
 	}
 
 	for i := uint64(0); ; i++ {
@@ -395,10 +389,11 @@ func RunIndexed(w *netsim.World, vp platform.VP, targets []netsim.IP, skip *Grey
 				VP: vp.Name, Round: cfg.Round, Attempt: cfg.Attempt, ProbeIndex: i,
 			}
 		}
-		target := targets[idx]
-		if win.Contains(target) {
+		if mask != nil && mask[idx>>6]&(1<<(idx&63)) != 0 {
+			stats.Skipped++
 			continue
 		}
+		target := targets[idx]
 		stats.Sent++
 		// The probe clock advances only for probes actually sent:
 		// greylist-skipped targets consume no wall-clock time.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"anycastmap/internal/cities"
+	"anycastmap/internal/detrand"
 	"anycastmap/internal/hitlist"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
@@ -55,6 +56,28 @@ func TestGreylistBasics(t *testing.T) {
 	ts := g.Targets()
 	if len(ts) != 3 || !ts[netsim.IP(3)] {
 		t.Errorf("Targets() = %v", ts)
+	}
+}
+
+// TestGreylistMergeNilAndSelf pins that merging nil or a greylist into
+// itself is a no-op: the first used to dereference nil, the second to
+// deadlock taking the write lock under its own read lock.
+func TestGreylistMergeNilAndSelf(t *testing.T) {
+	g := NewGreylist()
+	g.Add(netsim.IP(1), netsim.ReplyAdminFiltered)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		g.Merge(nil)
+		g.Merge(g)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("g.Merge(g) deadlocked")
+	}
+	if g.Len() != 1 || !g.Contains(netsim.IP(1)) {
+		t.Fatalf("merge changed the greylist: %v", g.Snapshot())
 	}
 }
 
@@ -130,6 +153,71 @@ func TestRunSkipsGreylist(t *testing.T) {
 	}
 	if stats.Sent != 400 {
 		t.Errorf("sent %d probes, want 400 after greylist skip", stats.Sent)
+	}
+}
+
+// TestRunChurnGreylistMatchesFiltered checks the skip mask against the
+// mutable greylist on a patch-round shape: ~95% of the span greylisted.
+// The greylisted run must send exactly to the non-greylisted targets and
+// answer them as an ungreylisted run does, in fast and wire modes and on
+// ascending and reversed target order (the latter breaks the merge
+// walk's order at every step).
+func TestRunChurnGreylistMatchesFiltered(t *testing.T) {
+	w, h, pl := testbed(t)
+	vp := pl.VPs()[4]
+	sorted := h.PruneNeverAlive().Targets()
+	reversed := make([]netsim.IP, len(sorted))
+	for i, ip := range sorted {
+		reversed[len(sorted)-1-i] = ip
+	}
+	skip := NewGreylist()
+	for _, ip := range sorted {
+		if detrand.Hash64(9, uint64(ip), 0xC4)%1000 >= 50 {
+			skip.Add(ip, netsim.ReplyTimeout)
+		}
+	}
+	type key struct {
+		target netsim.IP
+		kind   netsim.ReplyKind
+		rtt    time.Duration
+	}
+	collect := func(targets []netsim.IP, g *Greylist, wire bool) ([]key, Stats) {
+		var out []key
+		stats, _, err := Run(w, vp, targets, g, Config{Seed: 3, Round: 2, Wire: wire}, func(s record.Sample) {
+			out = append(out, key{s.Target, s.Kind, s.RTT})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, stats
+	}
+	for _, wire := range []bool{false, true} {
+		for name, targets := range map[string][]netsim.IP{"sorted": sorted, "reversed": reversed} {
+			full, _ := collect(targets, nil, wire)
+			var want []key
+			for _, k := range full {
+				if !skip.Contains(k.target) {
+					want = append(want, k)
+				}
+			}
+			before := DefaultMetrics.Skipped.Load()
+			got, stats := collect(targets, skip, wire)
+			unskipped := len(targets) - skip.Len()
+			if stats.Sent != unskipped || stats.Skipped != skip.Len() {
+				t.Errorf("wire=%v %s: sent %d skipped %d, want %d and %d", wire, name, stats.Sent, stats.Skipped, unskipped, skip.Len())
+			}
+			if d := DefaultMetrics.Skipped.Load() - before; d != uint64(stats.Skipped) {
+				t.Errorf("wire=%v %s: skipped counter moved %d, run skipped %d", wire, name, d, stats.Skipped)
+			}
+			if len(got) == 0 || len(got) != len(want) {
+				t.Fatalf("wire=%v %s: %d samples, want %d", wire, name, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("wire=%v %s: sample %d = %+v, filtered ungreylisted run has %+v", wire, name, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

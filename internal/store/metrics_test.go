@@ -131,6 +131,7 @@ func TestMetricsExposition(t *testing.T) {
 		"anycastmap_probe_runs_total":         prober.DefaultMetrics.Runs.Load(),
 		"anycastmap_probe_probes_sent_total":  prober.DefaultMetrics.ProbesSent.Load(),
 		"anycastmap_probe_echo_replies_total": prober.DefaultMetrics.EchoReplies.Load(),
+		"anycastmap_probe_skipped_total":      prober.DefaultMetrics.Skipped.Load(),
 	}
 	for name, want := range proberChecks {
 		if got := m[name]; got != float64(want) {

@@ -63,6 +63,7 @@ esac
 require_series "$scrape" \
     anycastmap_probe_probes_sent_total \
     anycastmap_probe_echo_replies_total \
+    anycastmap_probe_skipped_total \
     anycastmap_probe_span_seconds_count \
     anycastmap_probe_spans_in_flight \
     anycastmap_census_rounds_folded_total \
