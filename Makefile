@@ -30,7 +30,7 @@ bench:
 # bench-smoke is the CI gate: every benchmark must still run (one
 # iteration), catching bit-rot in the benchmark harness itself.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/netsim ./internal/prober ./internal/census ./internal/store ./internal/route .
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/netsim ./internal/prober ./internal/census ./internal/store ./internal/route ./internal/core ./internal/geo .
 
 # bench-json regenerates the committed benchmark trajectory point,
 # including the route-serving block (answer-path qps, UDP loopback,

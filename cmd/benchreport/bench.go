@@ -1004,13 +1004,11 @@ func analyzeAllStatic(db *cities.DB, c *census.Combined, opt core.Options, minSa
 	}
 	idx := cities.NewIndex(db, 10)
 	nVP := len(c.VPs)
-	vpDist := make([]float64, nVP*nVP)
-	for i := 0; i < nVP; i++ {
-		for j := i + 1; j < nVP; j++ {
-			d := geo.DistanceKm(c.VPs[i].Loc, c.VPs[j].Loc)
-			vpDist[i*nVP+j], vpDist[j*nVP+i] = d, d
-		}
+	locs := make([]geo.Coord, nVP)
+	for i, vp := range c.VPs {
+		locs[i] = vp.Loc
 	}
+	vps := core.NewVPMatrix(locs)
 	results := make([]*core.Result, len(c.Targets))
 	var wg sync.WaitGroup
 	chunk := (len(c.Targets) + workers - 1) / workers
@@ -1028,15 +1026,12 @@ func analyzeAllStatic(db *cities.DB, c *census.Combined, opt core.Options, minSa
 			defer wg.Done()
 			ms := make([]core.Measurement, 0, nVP)
 			vpIdx := make([]int, 0, nVP)
-			dist := core.CenterDist(func(a, b int) float64 {
-				return vpDist[vpIdx[a]*nVP+vpIdx[b]]
-			})
 			for t := lo; t < hi; t++ {
 				ms, vpIdx = c.AppendMeasurements(t, ms[:0], vpIdx[:0])
 				if len(ms) < minSamples {
 					continue
 				}
-				r := core.AnalyzeWithDist(idx, ms, dist, opt)
+				r := core.AnalyzeWithDist(idx, ms, vps, vpIdx, opt)
 				if r.Anycast {
 					results[t] = &r
 				}

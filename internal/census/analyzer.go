@@ -99,10 +99,10 @@ type Analyzer struct {
 	db  *cities.DB
 	cfg AnalyzerConfig
 
-	idx    *cities.Index
-	c      *Combined
-	vpDist []float64
-	nVP    int
+	idx *cities.Index
+	c   *Combined
+	vps *core.VPMatrix
+	nVP int
 
 	results []*core.Result
 	certs   []certEntry
@@ -163,17 +163,14 @@ func (a *Analyzer) bind(c *Combined) {
 	if nVP := len(c.VPs); nVP != a.nVP {
 		// Every disk the detector sees is centered at a vantage point, so
 		// one VP-pair distance matrix replaces the per-target haversines
-		// that dominate detection. The matrix is row-major with stride
-		// nVP, so VP growth recomputes it whole — ~90k haversines for
-		// ~300 VPs, amortized over every round and target.
+		// that dominate detection. VP growth recomputes it whole — ~45k
+		// haversines for ~300 VPs, amortized over every round and target.
 		a.nVP = nVP
-		a.vpDist = make([]float64, nVP*nVP)
-		for i := 0; i < nVP; i++ {
-			for j := i + 1; j < nVP; j++ {
-				d := geo.DistanceKm(c.VPs[i].Loc, c.VPs[j].Loc)
-				a.vpDist[i*nVP+j], a.vpDist[j*nVP+i] = d, d
-			}
+		locs := make([]geo.Coord, nVP)
+		for i, vp := range c.VPs {
+			locs[i] = vp.Loc
 		}
+		a.vps = core.NewVPMatrix(locs)
 	}
 }
 
@@ -231,12 +228,6 @@ func (a *Analyzer) run(list []int, all, useCerts bool) {
 			ms := make([]core.Measurement, 0, a.nVP)
 			vpIdx := make([]int, 0, a.nVP)
 			disks := make([]geo.Disk, 0, a.nVP)
-			// dist closes over vpIdx (reassigned per target):
-			// measurement i maps to vantage point vpIdx[i].
-			nVP := a.nVP
-			dist := core.CenterDist(func(i, j int) float64 {
-				return a.vpDist[vpIdx[i]*nVP+vpIdx[j]]
-			})
 			for {
 				lo := next()
 				if lo >= n {
@@ -263,19 +254,19 @@ func (a *Analyzer) run(list []int, all, useCerts bool) {
 					anycast, decided := false, false
 					if useCerts {
 						if pc, ok := a.certToPositions(a.certs[t], vpIdx); ok {
-							if v, conclusive := pc.Revalidate(disks, dist); conclusive {
+							if v, conclusive := pc.Revalidate(disks, a.vps, vpIdx); conclusive {
 								anycast, decided, cert = v, true, pc
 								nHits++
 							}
 						}
 					}
 					if !decided {
-						cert = core.DetectCert(disks, dist)
+						cert = core.DetectCert(disks, a.vps, vpIdx)
 						anycast = cert.Anycast()
 						nScans++
 					}
 					if anycast {
-						r := core.AnalyzeDetected(a.idx, ms, disks, dist, a.cfg.Options)
+						r := core.AnalyzeDetected(a.idx, ms, disks, a.vps, vpIdx, a.cfg.Options)
 						a.results[t] = &r
 					} else {
 						a.results[t] = nil

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"anycastmap/internal/geo"
 )
@@ -52,27 +52,15 @@ func (c Certificate) Anycast() bool { return c.Kind == CertAnycast }
 // certificate. The verdict is exactly Detect's: CertAnycast means proven
 // anycast, anything else means no violation was found. The comparisons
 // spell out Disk.Contains and Disk.Overlaps (same epsilon, same
-// association) so a CenterDist oracle and the live haversine path are
-// interchangeable bit for bit.
-func DetectCert(disks []geo.Disk, dist CenterDist) Certificate {
+// association) so the VPMatrix and the live haversine path are
+// interchangeable bit for bit. With a non-nil m, slots[i] is the vantage
+// point disk i is centred at; with m nil, slots is ignored.
+func DetectCert(disks []geo.Disk, m *VPMatrix, slots []int) Certificate {
 	n := len(disks)
 	if n < 2 {
 		return Certificate{}
 	}
-	centerDist := func(i, j int) float64 {
-		if dist != nil {
-			return dist(i, j)
-		}
-		return geo.DistanceKm(disks[i].Center, disks[j].Center)
-	}
-	contained := func(ci int) bool {
-		for i := range disks {
-			if centerDist(i, ci) > disks[i].RadiusKm+1e-9 { // !Contains
-				return false
-			}
-		}
-		return true
-	}
+	c := centres{disks: disks, m: m, slots: slots}
 	// Early-exit unicast rejection: when one radius is strictly the
 	// smallest, it is the first candidate the sort below would yield under
 	// any tie resolution, so certifying it up front skips the O(n log n)
@@ -88,30 +76,59 @@ func DetectCert(disks []geo.Disk, dist CenterDist) Certificate {
 		}
 	}
 	strictMin := ties == 0
-	if strictMin && contained(minI) {
+	if strictMin && c.contained(minI) {
 		return Certificate{Kind: CertUnicast, I: minI}
 	}
-	// Candidate certificate points: centers of the three smallest disks.
-	// A point contained in every disk certifies pairwise overlap.
-	for _, ci := range smallestK(disks, 3) {
-		if strictMin && ci == minI {
-			continue // already tried (and failed) above
-		}
-		if contained(ci) {
-			return Certificate{Kind: CertUnicast, I: ci}
-		}
-	}
-	// Pairwise scan ordered by radius: small disks are the most likely to
-	// be disjoint, so true anycast exits early.
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return disks[order[a]].RadiusKm < disks[order[b]].RadiusKm })
-	for a := 0; a < n; a++ {
+	slices.SortFunc(order, byRadius(disks))
+	// Candidate certificate points: centers of the three smallest disks.
+	// A point contained in every disk certifies pairwise overlap.
+	for _, ci := range order[:min(3, n)] {
+		if strictMin && ci == minI {
+			continue // already tried (and failed) above
+		}
+		if c.contained(ci) {
+			return Certificate{Kind: CertUnicast, I: ci}
+		}
+	}
+	// Pairwise scan ordered by radius: small disks are the most likely to
+	// be disjoint, so true anycast exits early. A pair can only be
+	// disjoint when its centre distance exceeds the radius sum, and no
+	// centre distance exceeds bound: the ceiling of DistanceKm, or the
+	// distance from disk i's vantage point to the farthest other one. The
+	// sum only grows along the radius order, so the first pair reaching
+	// the bound ends disk i's row, and reaching the ceiling on the
+	// row's first pair ends every later row too. Only pairs that cannot
+	// be disjoint are skipped, so the first disjoint pair is the one an
+	// unpruned scan finds.
+	for a := 0; a < n-1; a++ {
+		i := order[a]
+		ri := disks[i].RadiusKm
+		bound := geo.MaxDistanceKm
+		var row []float64
+		if m != nil {
+			row = m.row(slots[i])
+			bound = min(bound, m.far[slots[i]])
+		}
 		for b := a + 1; b < n; b++ {
-			i, j := order[a], order[b]
-			if centerDist(i, j) > disks[i].RadiusKm+disks[j].RadiusKm+1e-9 { // !Overlaps
+			j := order[b]
+			sum := ri + disks[j].RadiusKm + 1e-9
+			if sum >= bound {
+				if b == a+1 && sum >= geo.MaxDistanceKm {
+					return Certificate{}
+				}
+				break
+			}
+			var d float64
+			if row != nil {
+				d = row[slots[j]]
+			} else {
+				d = geo.DistanceKm(disks[i].Center, disks[j].Center)
+			}
+			if d > sum { // !Overlaps
 				return Certificate{Kind: CertAnycast, I: i, J: j}
 			}
 		}
@@ -138,25 +155,14 @@ func DetectCert(disks []geo.Disk, dist CenterDist) Certificate {
 //     DetectCert believes a containment witness over any disjoint pair,
 //     so a surviving pair alone is not enough in the (epsilon-window)
 //     corner where both exist.
-func (c Certificate) Revalidate(disks []geo.Disk, dist CenterDist) (anycast, ok bool) {
+//
+// m and slots are DetectCert's.
+func (c Certificate) Revalidate(disks []geo.Disk, m *VPMatrix, slots []int) (anycast, ok bool) {
 	n := len(disks)
 	if n < 2 {
 		return false, false
 	}
-	centerDist := func(i, j int) float64 {
-		if dist != nil {
-			return dist(i, j)
-		}
-		return geo.DistanceKm(disks[i].Center, disks[j].Center)
-	}
-	contained := func(ci int) bool {
-		for i := range disks {
-			if centerDist(i, ci) > disks[i].RadiusKm+1e-9 { // !Contains
-				return false
-			}
-		}
-		return true
-	}
+	cs := centres{disks: disks, m: m, slots: slots}
 	switch c.Kind {
 	case CertUnicast:
 		w := c.I
@@ -174,7 +180,7 @@ func (c Certificate) Revalidate(disks []geo.Disk, dist CenterDist) (anycast, ok 
 				}
 			}
 		}
-		if !contained(w) {
+		if !cs.contained(w) {
 			return false, false
 		}
 		return false, true
@@ -183,7 +189,7 @@ func (c Certificate) Revalidate(disks []geo.Disk, dist CenterDist) (anycast, ok 
 		if i < 0 || j < 0 || i >= n || j >= n || i == j {
 			return false, false
 		}
-		if centerDist(i, j) <= disks[i].RadiusKm+disks[j].RadiusKm+1e-9 { // Overlaps
+		if cs.dist(i, j) <= disks[i].RadiusKm+disks[j].RadiusKm+1e-9 { // Overlaps
 			return false, false
 		}
 		// The pair is disjoint, so DetectCert's pairwise scan would find a
@@ -195,7 +201,7 @@ func (c Certificate) Revalidate(disks []geo.Disk, dist CenterDist) (anycast, ok 
 			if disks[k].RadiusKm > r3 {
 				continue
 			}
-			if contained(k) {
+			if cs.contained(k) {
 				return false, false // witness and pair coexist: inconclusive
 			}
 		}

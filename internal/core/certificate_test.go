@@ -19,13 +19,13 @@ func anycastDisks() []geo.Disk {
 }
 
 func TestDetectCertKinds(t *testing.T) {
-	if c := DetectCert(unicastDisks(), nil); c.Kind != CertUnicast {
+	if c := DetectCert(unicastDisks(), nil, nil); c.Kind != CertUnicast {
 		t.Fatalf("unicast scenario yielded certificate %+v", c)
 	}
-	if c := DetectCert(anycastDisks(), nil); c.Kind != CertAnycast {
+	if c := DetectCert(anycastDisks(), nil, nil); c.Kind != CertAnycast {
 		t.Fatalf("anycast scenario yielded certificate %+v", c)
 	}
-	if c := DetectCert(nil, nil); c.Kind != CertNone || c.Anycast() {
+	if c := DetectCert(nil, nil, nil); c.Kind != CertNone || c.Anycast() {
 		t.Fatalf("empty input yielded certificate %+v", c)
 	}
 }
@@ -36,12 +36,12 @@ func TestDetectCertKinds(t *testing.T) {
 // with the naive ground truth.
 func TestCertUnicastInvalidatedByShrink(t *testing.T) {
 	disks := unicastDisks()
-	cert := DetectCert(disks, nil)
+	cert := DetectCert(disks, nil, nil)
 	if cert.Kind != CertUnicast {
 		t.Fatalf("expected unicast certificate, got %+v", cert)
 	}
 	// Sanity: the certificate revalidates against unchanged disks.
-	if any, ok := cert.Revalidate(disks, nil); !ok || any {
+	if any, ok := cert.Revalidate(disks, nil, nil); !ok || any {
 		t.Fatalf("certificate did not revalidate unchanged disks (anycast=%v ok=%v)", any, ok)
 	}
 	// Shrink a far VP's disk (Tokyo, index 3) to a sliver: the witness
@@ -52,7 +52,7 @@ func TestCertUnicastInvalidatedByShrink(t *testing.T) {
 	}
 	disks[far].RadiusKm = 10
 	if !disks[far].Contains(disks[cert.I].Center) {
-		if _, ok := cert.Revalidate(disks, nil); ok {
+		if _, ok := cert.Revalidate(disks, nil, nil); ok {
 			t.Fatal("certificate revalidated after its witness was excluded")
 		}
 	} else {
@@ -60,7 +60,7 @@ func TestCertUnicastInvalidatedByShrink(t *testing.T) {
 	}
 	// The fallback pass decides the new configuration; it must agree with
 	// the naive pairwise check.
-	fresh := DetectCert(disks, nil)
+	fresh := DetectCert(disks, nil, nil)
 	naive := false
 	for i := range disks {
 		for j := i + 1; j < len(disks); j++ {
@@ -79,7 +79,7 @@ func TestCertUnicastInvalidatedByShrink(t *testing.T) {
 // one — the cached unicast bound cannot stand.
 func TestCertUnicastBrokenByNewVP(t *testing.T) {
 	disks := unicastDisks()
-	cert := DetectCert(disks, nil)
+	cert := DetectCert(disks, nil, nil)
 	if cert.Kind != CertUnicast {
 		t.Fatalf("expected unicast certificate, got %+v", cert)
 	}
@@ -87,14 +87,14 @@ func TestCertUnicastBrokenByNewVP(t *testing.T) {
 	// Frankfurt.
 	akl := geo.Disk{Center: geo.Coord{Lat: -36.85, Lon: 174.76}, RadiusKm: 50}
 	disks = append(disks, akl)
-	if _, ok := cert.Revalidate(disks, nil); ok {
+	if _, ok := cert.Revalidate(disks, nil, nil); ok {
 		t.Fatal("unicast certificate survived a disjoint new-VP disk")
 	}
-	fresh := DetectCert(disks, nil)
+	fresh := DetectCert(disks, nil, nil)
 	if !fresh.Anycast() {
 		t.Fatal("fresh detection missed the speed-of-light violation")
 	}
-	if any, ok := fresh.Revalidate(disks, nil); !ok || !any {
+	if any, ok := fresh.Revalidate(disks, nil, nil); !ok || !any {
 		t.Fatalf("fresh anycast certificate did not revalidate (anycast=%v ok=%v)", any, ok)
 	}
 }
@@ -104,17 +104,17 @@ func TestCertUnicastBrokenByNewVP(t *testing.T) {
 // certificate keeps deciding the target without a full scan.
 func TestCertAnycastSurvivesShrink(t *testing.T) {
 	disks := anycastDisks()
-	cert := DetectCert(disks, nil)
+	cert := DetectCert(disks, nil, nil)
 	if cert.Kind != CertAnycast {
 		t.Fatalf("expected anycast certificate, got %+v", cert)
 	}
 	disks[cert.I].RadiusKm *= 0.7
 	disks[cert.J].RadiusKm *= 0.9
-	any, ok := cert.Revalidate(disks, nil)
+	any, ok := cert.Revalidate(disks, nil, nil)
 	if !ok || !any {
 		t.Fatalf("anycast certificate did not survive shrink (anycast=%v ok=%v)", any, ok)
 	}
-	if fresh := DetectCert(disks, nil); !fresh.Anycast() {
+	if fresh := DetectCert(disks, nil, nil); !fresh.Anycast() {
 		t.Fatal("revalidation and fresh detection disagree")
 	}
 }
@@ -124,12 +124,12 @@ func TestCertAnycastSurvivesShrink(t *testing.T) {
 // invalidate, not mis-certify.
 func TestCertAnycastInvalidatedByGrowth(t *testing.T) {
 	disks := anycastDisks()
-	cert := DetectCert(disks, nil)
+	cert := DetectCert(disks, nil, nil)
 	if cert.Kind != CertAnycast {
 		t.Fatalf("expected anycast certificate, got %+v", cert)
 	}
 	disks[cert.I].RadiusKm = geo.MaxSurfaceDistanceKm
-	if _, ok := cert.Revalidate(disks, nil); ok {
+	if _, ok := cert.Revalidate(disks, nil, nil); ok {
 		t.Fatal("anycast certificate survived overlapping pair")
 	}
 }
@@ -145,7 +145,7 @@ func TestCertOutOfRange(t *testing.T) {
 		{Kind: CertAnycast, I: 2, J: 2},
 		{},
 	} {
-		if _, ok := c.Revalidate(disks, nil); ok {
+		if _, ok := c.Revalidate(disks, nil, nil); ok {
 			t.Fatalf("certificate %+v revalidated out-of-range input", c)
 		}
 	}
@@ -159,7 +159,7 @@ func TestRevalidateAgreesWithDetect(t *testing.T) {
 	conclusive := 0
 	for trial := 0; trial < 500; trial++ {
 		disks := randomDisks(r, 2+r.Intn(24))
-		cert := DetectCert(disks, nil)
+		cert := DetectCert(disks, nil, nil)
 		// Perturb like a census round would: a few disks shrink,
 		// occasionally one new VP appears.
 		for i := range disks {
@@ -170,12 +170,12 @@ func TestRevalidateAgreesWithDetect(t *testing.T) {
 		if r.Intn(4) == 0 {
 			disks = append(disks, randomDisks(r, 1)...)
 		}
-		any, ok := cert.Revalidate(disks, nil)
+		any, ok := cert.Revalidate(disks, nil, nil)
 		if !ok {
 			continue
 		}
 		conclusive++
-		if fresh := DetectCert(disks, nil); fresh.Anycast() != any {
+		if fresh := DetectCert(disks, nil, nil); fresh.Anycast() != any {
 			t.Fatalf("trial %d: revalidated verdict %v, fresh %v (cert %+v, disks %v)",
 				trial, any, fresh.Anycast(), cert, disks)
 		}

@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -124,16 +125,72 @@ func (o Options) maxIter() int {
 // certificate is found does it fall back to the pairwise scan, which for
 // true anycast terminates at the first disjoint pair.
 func Detect(ms []Measurement) bool {
-	return DetectCert(disksOf(ms), nil).Anycast()
+	return DetectCert(disksOf(ms), nil, nil).Anycast()
 }
 
-// CenterDist lets callers supply a precomputed oracle for the distance in
-// km between the centers of disks i and j, replacing the haversine
-// evaluation in the detection scans. The values must be bitwise equal to
-// geo.DistanceKm(disks[i].Center, disks[j].Center) - the census pipeline
-// satisfies this with a VP-pair distance matrix, valid because every disk
-// of a target is centered at a vantage point. nil means compute live.
-type CenterDist func(i, j int) float64
+// VPMatrix holds the great-circle distances between a campaign's vantage
+// points. Every disk of a census target is centred at a vantage point, so
+// the detection and enumeration scans read centre distances from it,
+// bitwise equal to the geo.DistanceKm they replace, instead of evaluating
+// a haversine per pair. Each vantage point's distance to its farthest
+// other one bounds how far any disk centre can lie from it, which lets
+// the pair scan skip pairs that cannot be disjoint.
+type VPMatrix struct {
+	n   int
+	km  []float64 // row-major n×n: km[i*n+j] = geo.DistanceKm(locs[i], locs[j])
+	far []float64 // far[i] = max over j of km[i*n+j]
+}
+
+// NewVPMatrix computes the distance matrix of the vantage points at locs;
+// slot i of the matrix is locs[i].
+func NewVPMatrix(locs []geo.Coord) *VPMatrix {
+	n := len(locs)
+	m := &VPMatrix{n: n, km: make([]float64, n*n), far: make([]float64, n)}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			d := geo.DistanceKm(locs[i], locs[j])
+			m.km[i*n+j], m.km[j*n+i] = d, d
+			m.far[i], m.far[j] = max(m.far[i], d), max(m.far[j], d)
+		}
+	}
+	return m
+}
+
+func (m *VPMatrix) row(slot int) []float64 { return m.km[slot*m.n : (slot+1)*m.n] }
+
+// centres measures distances between disk centres: through m when both
+// disks' slots are non-negative (still centred at those vantage points),
+// by live haversine otherwise.
+type centres struct {
+	disks []geo.Disk
+	m     *VPMatrix
+	slots []int
+}
+
+func (c centres) dist(i, j int) float64 {
+	if c.m != nil && c.slots[i] >= 0 && c.slots[j] >= 0 {
+		return c.m.km[c.slots[i]*c.m.n+c.slots[j]]
+	}
+	return geo.DistanceKm(c.disks[i].Center, c.disks[j].Center)
+}
+
+// contained reports whether disk ci's centre lies in every disk.
+func (c centres) contained(ci int) bool {
+	for i := range c.disks {
+		if c.dist(i, ci) > c.disks[i].RadiusKm+1e-9 { // !Contains
+			return false
+		}
+	}
+	return true
+}
+
+// overlaps is Disk.Overlaps for disks i and j. A radius sum reaching
+// geo.MaxDistanceKm overlaps whatever the centres, so it skips the
+// distance.
+func (c centres) overlaps(i, j int) bool {
+	sum := c.disks[i].RadiusKm + c.disks[j].RadiusKm + 1e-9
+	return sum >= geo.MaxDistanceKm || c.dist(i, j) <= sum
+}
 
 // disksOf maps measurements to disks.
 func disksOf(ms []Measurement) []geo.Disk {
@@ -144,35 +201,25 @@ func disksOf(ms []Measurement) []geo.Disk {
 	return out
 }
 
-// smallestK returns the indices of the k smallest-radius disks.
-func smallestK(disks []geo.Disk, k int) []int {
-	idx := make([]int, len(disks))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return disks[idx[a]].RadiusKm < disks[idx[b]].RadiusKm })
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
-}
-
 // MISGreedy returns the indices of an independent (pairwise disjoint) set
 // of disks, built greedily over disks of increasing radius. For disk
 // graphs this is a 5-approximation of the maximum independent set, and in
 // practice it is near-optimal (the paper validates it against brute
 // force).
-func MISGreedy(disks []geo.Disk) []int {
-	order := make([]int, len(disks))
+func MISGreedy(disks []geo.Disk) []int { return misGreedy(centres{disks: disks}) }
+
+// misGreedy is MISGreedy over c.disks, with centre distances measured by c.
+func misGreedy(c centres) []int {
+	order := make([]int, len(c.disks))
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return disks[order[a]].RadiusKm < disks[order[b]].RadiusKm })
+	slices.SortStableFunc(order, byRadius(c.disks))
 	var chosen []int
 	for _, i := range order {
 		ok := true
 		for _, j := range chosen {
-			if disks[i].Overlaps(disks[j]) {
+			if c.overlaps(i, j) {
 				ok = false
 				break
 			}
@@ -183,6 +230,20 @@ func MISGreedy(disks []geo.Disk) []int {
 	}
 	sort.Ints(chosen)
 	return chosen
+}
+
+// byRadius compares disk indices by increasing radius: negative exactly
+// when disk a's radius is the smaller.
+func byRadius(disks []geo.Disk) func(a, b int) int {
+	return func(a, b int) int {
+		switch ra, rb := disks[a].RadiusKm, disks[b].RadiusKm; {
+		case ra < rb:
+			return -1
+		case ra > rb:
+			return 1
+		}
+		return 0
+	}
 }
 
 // MISBrute returns an exact maximum independent set by exhaustive search.
@@ -254,24 +315,24 @@ func Analyze(db *cities.DB, ms []Measurement, opt Options) Result {
 
 // AnalyzeWith is Analyze over any Locator.
 func AnalyzeWith(db Locator, ms []Measurement, opt Options) Result {
-	return AnalyzeWithDist(db, ms, nil, opt)
+	return AnalyzeWithDist(db, ms, nil, nil, opt)
 }
 
-// AnalyzeWithDist is AnalyzeWith with a CenterDist oracle accelerating the
-// detection scans (the dominant cost for borderline unicast targets, which
-// fail the O(n) certificate and pay the full pairwise scan). The oracle
-// only serves detection over the original measurement disks; the iterative
-// enumeration works on city-collapsed disks whose centers are no longer
-// vantage points.
-func AnalyzeWithDist(db Locator, ms []Measurement, dist CenterDist, opt Options) Result {
+// AnalyzeWithDist is AnalyzeWith with a VPMatrix serving the centre
+// distances (the dominant cost for borderline unicast targets, which fail
+// the O(n) certificate and pay the pairwise scan). slots[i] is the
+// vantage point of measurement i; the result is identical to AnalyzeWith.
+// The iterative enumeration measures city-collapsed disks, whose centres
+// are no longer vantage points, by live haversine.
+func AnalyzeWithDist(db Locator, ms []Measurement, m *VPMatrix, slots []int, opt Options) Result {
 	if len(ms) < 2 {
 		return Result{}
 	}
 	disks := disksOf(ms)
-	if !DetectCert(disks, dist).Anycast() {
+	if !DetectCert(disks, m, slots).Anycast() {
 		return Result{}
 	}
-	return AnalyzeDetected(db, ms, disks, dist, opt)
+	return AnalyzeDetected(db, ms, disks, m, slots, opt)
 }
 
 // AnalyzeDetected is the enumeration / geolocation / iteration tail of
@@ -282,7 +343,7 @@ func AnalyzeWithDist(db Locator, ms []Measurement, dist CenterDist, opt Options)
 // deliberately not taken as input: the rare single-disk-MIS fallback
 // below re-derives the proven pair with a fresh detection pass so the
 // reported replicas never depend on which certificate decided the target.
-func AnalyzeDetected(db Locator, ms []Measurement, disks []geo.Disk, dist CenterDist, opt Options) Result {
+func AnalyzeDetected(db Locator, ms []Measurement, disks []geo.Disk, m *VPMatrix, slots []int, opt Options) Result {
 	// work keeps the evolving disk of each measurement plus its
 	// classification state.
 	type work struct {
@@ -296,15 +357,20 @@ func AnalyzeDetected(db Locator, ms []Measurement, disks []geo.Disk, dist Center
 		ws[i] = work{disk: d}
 	}
 
-	cur := make([]geo.Disk, len(ws))
-	var mis []int
-	prevKey := ""
-	iter := 0
-	for ; iter < opt.maxIter(); iter++ {
+	cur := centres{disks: make([]geo.Disk, len(ws)), m: m}
+	if m != nil {
+		// A disk collapsed onto a city leaves its vantage point: its slot
+		// becomes -1 and its distances are measured live.
+		cur.slots = append([]int(nil), slots...)
+	}
+	var mis, prev []int
+	iters := 0
+	for iters < opt.maxIter() {
+		iters++
 		for i := range ws {
-			cur[i] = ws[i].disk
+			cur.disks[i] = ws[i].disk
 		}
-		mis = MISGreedy(cur)
+		mis = misGreedy(cur)
 
 		// Geolocate and collapse the newly independent disks.
 		changed := false
@@ -316,24 +382,26 @@ func AnalyzeDetected(db Locator, ms []Measurement, disks []geo.Disk, dist Center
 				ws[i].city = city
 				ws[i].located = true
 				ws[i].disk = geo.Disk{Center: city.Loc, RadiusKm: 0}
+				if cur.slots != nil {
+					cur.slots[i] = -1
+				}
 			}
 			ws[i].collapsed = true
 			changed = true
 		}
 
 		// Converged when the replica set is stable and nothing collapsed.
-		key := fmt.Sprint(mis)
-		if !changed && key == prevKey {
+		if !changed && slices.Equal(mis, prev) {
 			break
 		}
-		prevKey = key
+		prev = mis
 	}
 
 	// The greedy MIS can (rarely) return a single disk even though
 	// detection proved two disjoint ones exist; enumeration must still
 	// report at least the proven pair.
 	if len(mis) < 2 {
-		cert := DetectCert(disks, dist)
+		cert := DetectCert(disks, m, slots)
 		mis = []int{cert.I, cert.J}
 		for _, k := range mis {
 			if !ws[k].collapsed {
@@ -354,5 +422,5 @@ func AnalyzeDetected(db Locator, ms []Measurement, disks []geo.Disk, dist Center
 			Located: ws[i].located,
 		})
 	}
-	return Result{Anycast: true, Replicas: reps, Iterations: iter + 1}
+	return Result{Anycast: true, Replicas: reps, Iterations: iters}
 }

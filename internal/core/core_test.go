@@ -265,7 +265,7 @@ func TestDetectMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 300; trial++ {
 		disks := randomDisks(r, 2+r.Intn(30))
-		fast := DetectCert(disks, nil).Anycast()
+		fast := DetectCert(disks, nil, nil).Anycast()
 		naive := false
 		for i := 0; i < len(disks) && !naive; i++ {
 			for j := i + 1; j < len(disks); j++ {

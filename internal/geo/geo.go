@@ -37,6 +37,14 @@ const (
 	MaxSurfaceDistanceKm = math.Pi * EarthRadiusKm
 )
 
+// MaxDistanceKm is the largest value DistanceKm can return: the haversine
+// term is clamped to 1 and Asin(x) <= Asin(1) on [0, 1]. It is computed
+// with DistanceKm's own float64 expression because the constant
+// MaxSurfaceDistanceKm may round an ulp below it, and detection skips
+// every disk pair whose radius sum reaches it as one that cannot be
+// disjoint.
+var MaxDistanceKm = 2 * EarthRadiusKm * math.Asin(1)
+
 // Coord is a geographic coordinate in decimal degrees.
 type Coord struct {
 	Lat float64 // latitude, -90..90
@@ -63,8 +71,8 @@ func DistanceKm(a, b Coord) float64 {
 	la2, lo2 := deg2rad(b.Lat), deg2rad(b.Lon)
 	dLat := la2 - la1
 	dLon := lo2 - lo1
-	h := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(la1)*math.Cos(la2)*math.Sin(dLon/2)*math.Sin(dLon/2)
+	sLat, sLon := math.Sin(dLat/2), math.Sin(dLon/2)
+	h := sLat*sLat + math.Cos(la1)*math.Cos(la2)*sLon*sLon
 	// Clamp to guard against floating-point drift beyond [0,1].
 	if h > 1 {
 		h = 1

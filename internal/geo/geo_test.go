@@ -67,10 +67,62 @@ func TestDistanceBounds(t *testing.T) {
 		a := Coord{clampLat(lat1), clampLon(lon1)}
 		b := Coord{clampLat(lat2), clampLon(lon2)}
 		d := DistanceKm(a, b)
-		return d >= 0 && d <= MaxSurfaceDistanceKm+1e-6
+		return d >= 0 && d <= MaxDistanceKm
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	// Antipodes reach the ceiling exactly.
+	for _, p := range [][2]Coord{
+		{{0, 0}, {0, 180}},
+		{{0, -90}, {0, 90}},
+		{{90, 0}, {-90, 0}},
+		{{-90, 45}, {90, -135}},
+	} {
+		if d := DistanceKm(p[0], p[1]); d != MaxDistanceKm {
+			t.Errorf("DistanceKm(%v, %v) = %v, want MaxDistanceKm %v", p[0], p[1], d, MaxDistanceKm)
+		}
+	}
+}
+
+// distanceTwoSine is DistanceKm as first written, evaluating each
+// half-angle sine twice.
+func distanceTwoSine(a, b Coord) float64 {
+	la1, lo1 := deg2rad(a.Lat), deg2rad(a.Lon)
+	la2, lo2 := deg2rad(b.Lat), deg2rad(b.Lon)
+	dLat := la2 - la1
+	dLon := lo2 - lo1
+	h := math.Sin(dLat/2)*math.Sin(dLat/2) +
+		math.Cos(la1)*math.Cos(la2)*math.Sin(dLon/2)*math.Sin(dLon/2)
+	if h > 1 {
+		h = 1
+	}
+	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
+}
+
+// TestDistanceBitsPinned: the census's distance matrices and cached
+// verdicts depend on DistanceKm's exact bits.
+func TestDistanceBitsPinned(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	pairs := [][2]Coord{
+		{{0, 0}, {0, 0}},
+		{{0, 0}, {0, 180}},
+		{{90, 0}, {-90, 0}},
+		{{45, 179.9}, {-45, -179.9}},
+	}
+	for i := 0; i < 20000; i++ {
+		a := randCoord(r)
+		b := randCoord(r)
+		if i%4 == 0 {
+			b = Coord{Lat: -a.Lat, Lon: a.Lon - math.Copysign(180, a.Lon)}
+		}
+		pairs = append(pairs, [2]Coord{a, b})
+	}
+	for _, p := range pairs {
+		got, want := DistanceKm(p[0], p[1]), distanceTwoSine(p[0], p[1])
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("DistanceKm(%v, %v) = %v, two-sine expression %v", p[0], p[1], got, want)
+		}
 	}
 }
 
